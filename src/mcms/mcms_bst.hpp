@@ -145,6 +145,10 @@ class McmsBst {
         auto& ptrToChange = (succP->right.load() == succ) ? succP->right
                                                           : succP->left;
         cmp(succ->left, static_cast<Node*>(nullptr));
+        // succ's right child moves up into ptrToChange: pin it, or an insert
+        // committed into succ->right after the read above is unlinked with
+        // succ (inserts swap only the NIL edge, never a version).
+        cmp(succ->right, succR);
         swap(ptrToChange, succ, succR);
         const V currVal = curr->val;
         const V succVal = succ->val;

@@ -93,11 +93,11 @@ void add(casword<T>& w, T oldV, T newV) {
   domain().addEntry(w.addr(), detail::encode(oldV), detail::encode(newV));
 }
 
-/// Stage a *version word* change. Semantically identical to add(); version
-/// entries are additionally written first by the HTM fast path so that
-/// concurrent validated readers racing an emulated transaction always
-/// observe the version bump before any data write (see docs/ARCHITECTURE.md,
-/// "HTM emulation").
+/// Stage a *version word* change. Semantically identical to add(); the HTM
+/// fast path additionally writes version entries around the data entries
+/// (an odd in-flight value before, the new value after), so concurrent
+/// validated readers racing an emulated transaction never pair a version
+/// with data it does not cover (see docs/ARCHITECTURE.md, "HTM emulation").
 inline void addVer(casword<Version>& w, Version oldV, Version newV) {
   domain().addVerEntry(w.addr(), detail::encode(oldV), detail::encode(newV));
 }
@@ -269,6 +269,16 @@ inline bool validateVisitedFast() {
 
 namespace fastpath {
 
+/// The value a version word holds while an emulated transaction writes the
+/// data it covers: odd, so it reads as marked (validates against nothing),
+/// and between the old and new versions, so versions stay monotonic. A
+/// version being marked is its own in-flight value.
+inline k::word_t inFlight(k::word_t oldEnc, k::word_t newEnc) {
+  const k::word_t oldV = k::decodeVal(oldEnc);
+  const k::word_t newV = k::decodeVal(newEnc);
+  return (newV & 1) || newV <= oldV + 1 ? newEnc : k::encodeVal(newV - 1);
+}
+
 inline htm::Abort attempt(bool withValidation) {
   auto& dom = domain();
   return htm::run([&](htm::Tx& tx) {
@@ -291,15 +301,27 @@ inline htm::Abort attempt(bool withValidation) {
       tx.abort(k::isDescriptor(cur) ? htm::Abort::kDescriptor
                                     : htm::Abort::kOld);
     });
-    // Write new values (lines 11-13); version words first so concurrent
-    // validated readers racing the emulated transaction fail validation
-    // rather than observing a torn state.
-    for (const bool versionPass : {true, false}) {
-      dom.forEachStagedEntry([&](k::AtomicWord* addr, k::word_t,
+    // Write new values (lines 11-13). Under emulation lock-free readers see
+    // these stores one at a time, so they go in three passes, seqlock-style:
+    // changed version words first take an odd in-flight value (inFlight),
+    // then the data words, then the versions their final value. A reader
+    // that saw new data sees at least the in-flight version, so its
+    // validation fails; a reader that saw a final version sees all the
+    // data. With versions written only once, first, a reader could visit a
+    // node at its NEW version, then read its OLD child pointer, and commit a
+    // §4.1 reduced-validation exec against that torn view (an erase of a
+    // "leaf" that had just gained a child, losing the child). Real RTM
+    // publishes every store at commit, so it skips the in-flight pass.
+    int firstPass = 0;
+#if defined(PATHCAS_HAVE_RTM)
+    if (htm::rtmAvailable()) firstPass = 1;
+#endif
+    for (int pass = firstPass; pass < 3; ++pass) {
+      dom.forEachStagedEntry([&](k::AtomicWord* addr, k::word_t oldEnc,
                                  k::word_t newEnc, bool isVer) {
-        if (isVer == versionPass) {
-          addr->store(newEnc, std::memory_order_release);
-        }
+        if (isVer != (pass != 1) || (isVer && oldEnc == newEnc)) return;
+        addr->store(pass == 0 ? inFlight(oldEnc, newEnc) : newEnc,
+                    std::memory_order_release);
       });
     }
   });

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "pathcas/pathcas.hpp"
@@ -116,8 +117,8 @@ class DynConnPathCas {
     for (;;) {
       start();
       ListNode* const mv = walkToMin(self(v));
-      ListNode* const mw = walkToMin(self(w));
-      if (validate()) return mv == mw;
+      ListNode* const mw = mv ? walkToMin(self(w)) : nullptr;
+      if (mw != nullptr && validate()) return mv == mw;
     }
   }
 
@@ -129,8 +130,7 @@ class DynConnPathCas {
     for (;;) {
       start();
       Splice sv, sw;
-      surveyTour(self(v), sv);
-      surveyTour(self(w), sw);
+      if (!surveyTour(self(v), sv) || !surveyTour(self(w), sw)) continue;
       if (sv.smin == sw.smin) {
         if (validate()) return false;  // already connected
         continue;
@@ -157,7 +157,11 @@ class DynConnPathCas {
       markNode(sw.smin);
       // Serialize on v's min sentinel (the surviving one).
       bumpNode(sv.smin);
-      flushBumps();
+      if (!flushBumps()) {  // torn walk: the fresh nodes were never linked
+        listPool_.destroy(vw);
+        listPool_.destroy(wv);
+        continue;
+      }
       // Register the edge in both adjacency lists, atomically with the
       // splice.
       auto* av = adjPool_.alloc(w, vw, wv);
@@ -203,19 +207,25 @@ class DynConnPathCas {
       // where {X, Y} = {VW, WV} in whichever order the (rotated) tour holds
       // them — tour rotations from earlier links can place either one first.
       ListNode* const s1 = walkToMin(vwNode);
+      if (s1 == nullptr) continue;
       ListNode* first = nullptr;
       ListNode* second = nullptr;
       ListNode* cur = s1;
-      for (;;) {
+      bool torn = false;
+      for (int len = 1;; ++len) {
         ListNode* nx = cur->next;
         if (nx == nullptr) break;
+        if (len == maxTour_) {
+          torn = true;  // longer than any tour (see walkToMin)
+          break;
+        }
         visit(nx);
         if (nx == vwNode || nx == wvNode) {
           (first == nullptr ? first : second) = nx;
         }
         cur = nx;
       }
-      if (first == nullptr || second == nullptr) continue;  // torn: retry
+      if (torn || first == nullptr || second == nullptr) continue;  // retry
       if (cur->tag.load() != kSentinel) continue;
       ListNode* const s2 = cur;
       (void)s2;
@@ -241,7 +251,11 @@ class DynConnPathCas {
       markNode(vwNode);
       markNode(wvNode);
       bumpNode(s1);  // serialize on the (surviving) min sentinel
-      flushBumps();
+      if (!flushBumps()) {  // torn walk: the fresh sentinels were never linked
+        listPool_.destroy(s3);
+        listPool_.destroy(s4);
+        continue;
+      }
       // Unlink both adjacency entries atomically with the splice.
       unlinkAdj(v, fv);
       unlinkAdj(w, fw);
@@ -313,29 +327,35 @@ class DynConnPathCas {
   ListNode* self(int v) { return vertex(v).self; }
 
   /// Walk prev pointers to the minimum sentinel, visiting every node.
+  /// Returns nullptr once the walk is longer than any tour (maxTour_): the
+  /// reads, each of a different commit's state, have stitched a cycle, and
+  /// the caller re-traverses instead of overflowing the visited set.
   ListNode* walkToMin(ListNode* from) {
     ListNode* cur = from;
     visit(cur);
-    for (;;) {
+    for (int len = 1;; ++len) {
       ListNode* p = cur->prev;
       if (p == nullptr) return cur;
+      if (len == maxTour_) return nullptr;
       visit(p);
       cur = p;
     }
   }
 
   /// Visit the entire tour containing `selfNode` and record its splice
-  /// points relative to the self edge.
-  void surveyTour(ListNode* selfNode, Splice& out) {
+  /// points relative to the self edge. False: a torn walk (see walkToMin).
+  bool surveyTour(ListNode* selfNode, Splice& out) {
     out.selfNode = selfNode;
     out.smin = walkToMin(selfNode);
+    if (out.smin == nullptr) return false;
     out.beforeSelfHead = out.smin->next;
     // Forward from self to the max sentinel.
     ListNode* cur = selfNode;
     ListNode* firstAfter = cur->next;
     visit(firstAfter);
     cur = firstAfter;
-    while (cur->next.load() != nullptr) {
+    for (int len = 2; cur->next.load() != nullptr; ++len) {
+      if (len == maxTour_) return false;
       ListNode* nx = cur->next;
       visit(nx);
       cur = nx;
@@ -348,6 +368,7 @@ class DynConnPathCas {
       out.afterSelfHead = firstAfter;
       out.afterSelfTail = out.smax->prev;
     }
+    return true;
   }
 
   // --- staged-write helpers (dedup version bumps across boundary nodes) ---
@@ -385,18 +406,29 @@ class DynConnPathCas {
     }
     bumpScratch().push_back({n, mark});
   }
-  /// Emit one version entry per touched node. Uses the freshest logical
-  /// version (the node was visited earlier in this op; any interleaving
-  /// change fails the vexec anyway).
-  void flushBumps() {
+  /// Emit one version entry per touched node, expecting the version the
+  /// node was VISITED at. It must not be a fresher read: the KCAS lock an
+  /// entry takes on a version word also passes that word's path validation
+  /// (Algorithm 2 accepts its own lock), so an entry expecting a fresher
+  /// version than the visit would let a commit built on a stale walk
+  /// through, and corrupt the tours. False (re-traverse) when a touched
+  /// node was not visited, was visited at two versions, or is deleted.
+  bool flushBumps() {
     for (const auto& b : bumpScratch()) {
-      const Version ver = b.node->ver.load();
-      if (isMarked(ver)) {  // already deleted: poison the op so vexec fails
-        addVer(b.node->ver, ver + 2, ver);
-        continue;
-      }
+      const k::AtomicWord* const addr = b.node->ver.addr();
+      std::optional<k::word_t> seen;
+      bool torn = false;
+      domain().forEachStagedPath([&](k::AtomicWord* a, k::word_t enc) {
+        if (a != addr) return;
+        torn = torn || (seen && *seen != enc);
+        seen = enc;
+      });
+      if (!seen || torn) return false;
+      const Version ver = pathcas::detail::decode<Version>(*seen);
+      if (isMarked(ver)) return false;
       addVer(b.node->ver, ver, b.mark ? verMark(ver) : verBump(ver));
     }
+    return true;
   }
 
   /// Stage a->next = b and b->prev = a (with old values read now).
@@ -478,6 +510,9 @@ class DynConnPathCas {
   recl::NodePool<ListNode>& listPool_;
   recl::NodePool<AdjNode>& adjPool_;
   std::vector<Vertex> vertices_;
+  /// Nodes in the longest possible tour: n self edges, 2 (n - 1) edge
+  /// nodes and 2 sentinels.
+  const int maxTour_ = 3 * static_cast<int>(vertices_.size());
 };
 
 }  // namespace pathcas::ds

@@ -1,150 +1,70 @@
 // Lock-free *internal relaxed AVL tree* built with PathCAS (§4.2 and
-// appendix D of the paper). The base is the internal BST of Algorithms 3-6;
-// nodes are augmented with parent pointers and logical heights, and every
-// successful update triggers Bougé-style relaxed rebalancing: fixHeight and
-// the four rotations (Algorithms 8-11 plus mirrors), applied while walking
-// parent pointers toward the root until a violation-free node is reached.
+// appendix D of the paper): the internal BST of Algorithms 3-6 plus parent
+// pointers, logical heights and Bougé-style relaxed rebalancing. The
+// sentinels, searches, range scans, batching scaffolding and inspection are
+// the internal-tree core shared with the BST (trees/internal_tree.hpp);
+// this file holds the AVL delta: the parent-pointer entries of insert and
+// erase, height-annotated batch subtrees, and rebalancing — fixHeight and
+// the single/double rotations (Algorithms 8-11, each mirror pair one
+// direction-templated function), applied while walking parent pointers
+// toward the root until a violation-free node is reached.
 //
 // Deviations from the paper's pseudocode (which contains typos) are
 // normalized to one rule: ANY node whose fields change in a vexec — including
 // pure parent-pointer retargeting — has its version incremented in the same
 // vexec. This is strictly safer (concurrent validations always observe
-// subtree movements) at the cost of a slightly wider KCAS.
+// subtree movements) at the cost of a slightly wider KCAS. It is also why a
+// validated range scan is an atomic snapshot even while rebalancing runs.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "pathcas/pathcas.hpp"
 #include "recl/ebr.hpp"
 #include "recl/pool.hpp"
-#include "trees/int_bst_pathcas.hpp"  // TreeStats, IntBstOptions
+#include "trees/internal_tree.hpp"
 #include "util/defs.hpp"
 
 namespace pathcas::ds {
 
+namespace detail {
+template <typename K, typename V>
+struct AvlNode {
+  casword<Version> ver;
+  casword<K> key;
+  casword<V> val;
+  casword<AvlNode*> left;
+  casword<AvlNode*> right;
+  casword<AvlNode*> parent;
+  casword<std::int64_t> height;  // logical height (relaxed)
+
+  AvlNode(K k, V v, AvlNode* p = nullptr) {
+    key.setInitial(k);
+    val.setInitial(v);
+    parent.setInitial(p);
+    height.setInitial(1);
+  }
+};
+}  // namespace detail
+
 template <typename K = std::int64_t, typename V = std::int64_t>
-class IntAvlPathCas {
+class IntAvlPathCas
+    : public InternalTree<IntAvlPathCas<K, V>, detail::AvlNode<K, V>, K, V> {
+  using Base = InternalTree<IntAvlPathCas<K, V>, detail::AvlNode<K, V>, K, V>;
+  friend Base;
+
  public:
-  static_assert(std::is_integral_v<K> && std::is_integral_v<V>);
-  /// Exposed for generic frontends (service/sharded_map.hpp).
-  using KeyType = K;
-  using ValueType = V;
-  using OptionsType = IntBstOptions;
-  static constexpr K kNegInf = std::numeric_limits<K>::min() / 4;
-  static constexpr K kPosInf = std::numeric_limits<K>::max() / 4;
-
-  struct Node {
-    casword<Version> ver;
-    casword<K> key;
-    casword<V> val;
-    casword<Node*> left;
-    casword<Node*> right;
-    casword<Node*> parent;
-    casword<std::int64_t> height;  // logical height (relaxed)
-
-    Node(K k, V v, Node* p) {
-      key.setInitial(k);
-      val.setInitial(v);
-      parent.setInitial(p);
-      height.setInitial(1);
-    }
-  };
+  using Node = detail::AvlNode<K, V>;
+  using Base::kNegInf, Base::kPosInf;
 
   explicit IntAvlPathCas(IntBstOptions options = {},
                          recl::EbrDomain& ebr = recl::EbrDomain::instance(),
                          recl::NodePool<Node>* pool = nullptr)
-      : opt_(options), ebr_(ebr), pool_(pool ? *pool : recl::defaultPool<Node>()) {
-    maxRoot_ = pool_.alloc(kPosInf, V{}, nullptr);
-    minRoot_ = pool_.alloc(kNegInf, V{}, maxRoot_);
-    maxRoot_->left.setInitial(minRoot_);
-  }
-
-  IntAvlPathCas(const IntAvlPathCas&) = delete;
-  IntAvlPathCas& operator=(const IntAvlPathCas&) = delete;
-
-  ~IntAvlPathCas() {
-    // Quiescent-teardown exception: no thread pinned on this tree anymore,
-    // so reachable nodes go straight back to the pool (no EBR).
-    freeSubtree(minRoot_->right.load());
-    pool_.destroy(minRoot_);
-    pool_.destroy(maxRoot_);
-  }
-
-  bool contains(K key) {
-    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
-    auto guard = ebr_.pin();
-    for (;;) {
-      start();
-      const SearchResult s = search(key);
-      if (s.found && (opt_.reduceValidation || validate())) return true;
-      if (!s.found && validate()) return false;
-    }
-  }
-
-  std::optional<V> get(K key) {
-    PATHCAS_DCHECK(key > kNegInf && key < kPosInf);
-    auto guard = ebr_.pin();
-    for (;;) {
-      start();
-      const SearchResult s = search(key);
-      if (!s.found) {
-        if (validate()) return std::nullopt;
-        continue;
-      }
-      if (!opt_.reduceValidation && !validate()) continue;
-      // Same seqlock-style pair check as IntBstPathCas::get — the two-child
-      // erase swaps key/value in place and always bumps curr's version, so
-      // an unchanged version re-read AFTER the value load proves the pair.
-      const V val = s.curr->val.load();
-      if (s.curr->ver.load() == s.currVer) return val;
-    }
-  }
-
-  /// Linearizable range query (see IntBstPathCas::rangeQuery): append every
-  /// (key, value) pair with lo <= key <= hi to `out` in ascending key order;
-  /// returns the number appended. Rotations retarget pointers of visited
-  /// nodes only with a version bump (the normalization rule above), so a
-  /// validated scan is an atomic snapshot even while rebalancing runs.
-  /// Bounded by pathcas::kMaxVisited examined nodes (footnote 2).
-  std::size_t rangeQuery(K lo, K hi, std::vector<std::pair<K, V>>& out) {
-    PATHCAS_DCHECK(lo > kNegInf && hi < kPosInf);
-    if (lo > hi) return 0;
-    auto guard = ebr_.pin();
-    const std::size_t base = out.size();
-    for (;;) {
-      start();
-      visit(minRoot_);  // pins the root pointer (minRoot_->right)
-      collectRange(minRoot_->right.load(), lo, hi, out);
-      if (vval()) return out.size() - base;
-      out.resize(base);  // torn attempt: discard and re-traverse
-    }
-  }
-
-  /// One validated scan attempt with visited-pair capture, for the sharded
-  /// map's cross-shard linearization. Contract identical to
-  /// IntBstPathCas::rangeQueryCapture: `cap(k::AtomicWord*, k::word_t)` is
-  /// called per visited pair BEFORE validation; a false return means the
-  /// caller must discard the capture and retry (no internal retry loop).
-  template <typename Cap>
-  bool rangeQueryCapture(K lo, K hi, std::vector<std::pair<K, V>>& out,
-                         Cap&& cap) {
-    PATHCAS_DCHECK(lo > kNegInf && hi < kPosInf);
-    if (lo > hi) return true;
-    auto guard = ebr_.pin();
-    const std::size_t base = out.size();
-    start();
-    visit(minRoot_);  // pins the root pointer (minRoot_->right)
-    collectRange(minRoot_->right.load(), lo, hi, out);
-    domain().forEachStagedPath(cap);
-    if (vval()) return true;
-    out.resize(base);
-    return false;
+      : Base(options, ebr, pool) {
+    minRoot_->parent.setInitial(maxRoot_);
   }
 
   bool insert(K key, V val) {
@@ -260,43 +180,6 @@ class IntAvlPathCas {
   }
 
   // ------------------------------------------------------------------
-  // Batched updates (group commit). Same contract and split rules as
-  // IntBstPathCas::insertBatch/eraseBatch; see the "Batched commits"
-  // section of docs/ARCHITECTURE.md. AVL-specific deltas: inserted runs
-  // become height-annotated balanced subtrees whose attach points are
-  // rebalanced after the commit, and only LEAF removals are staged in the
-  // wide KCAS — a one-child splice retargets the kept child's parent word,
-  // which may already carry a staged version bump from the child's own
-  // subtree in the same batch (an address staged twice is undefined), so
-  // one-child and two-child removals defer to per-op erase().
-  // ------------------------------------------------------------------
-
-  /// insertIfAbsent over a strictly-ascending key run; see
-  /// IntBstPathCas::insertBatch.
-  std::size_t insertBatch(const K* keys, const V* vals, std::size_t n,
-                          bool* outcomes) {
-    checkBatchKeys(keys, n);
-    for (std::size_t i = 0; i < n; ++i) outcomes[i] = false;
-    const std::size_t chunk = batchChunkWidth();
-    std::size_t inserted = 0;
-    for (std::size_t i = 0; i < n; i += chunk)
-      inserted += insertRun(keys + i, vals + i, std::min(chunk, n - i),
-                            outcomes + i);
-    return inserted;
-  }
-
-  /// delete over a strictly-ascending key run; see IntBstPathCas::eraseBatch.
-  std::size_t eraseBatch(const K* keys, std::size_t n, bool* outcomes) {
-    checkBatchKeys(keys, n);
-    for (std::size_t i = 0; i < n; ++i) outcomes[i] = false;
-    const std::size_t chunk = batchChunkWidth();
-    std::size_t erased = 0;
-    for (std::size_t i = 0; i < n; i += chunk)
-      erased += eraseRun(keys + i, std::min(chunk, n - i), outcomes + i);
-    return erased;
-  }
-
-  // ------------------------------------------------------------------
   // Quiescent-state inspection.
   // ------------------------------------------------------------------
 
@@ -306,23 +189,10 @@ class IntAvlPathCas {
   /// converges to. `requireStrictBalance` additionally asserts every node's
   /// children differ in height by <= 1 (holds after quiescent convergence).
   TreeStats checkInvariants(bool requireStrictBalance = false) const {
-    PATHCAS_CHECK(maxRoot_->left.load() == minRoot_);
-    TreeStats stats;
-    std::uint64_t depthSum = 0;
-    Node* root = minRoot_->right.load();
+    Node* const root = minRoot_->right.load();
     if (root != nullptr) PATHCAS_CHECK(root->parent.load() == minRoot_);
-    walk(root, kNegInf, kPosInf, 1, stats, depthSum, requireStrictBalance);
-    stats.avgKeyDepth =
-        stats.size ? static_cast<double>(depthSum) / stats.size : 0.0;
-    stats.footprintBytes = (stats.nodeCount + 2) * sizeof(Node);
-    return stats;
-  }
-
-  std::uint64_t size() const { return checkInvariants().size; }
-  std::int64_t keySum() const { return checkInvariants().keySum; }
-
-  void forEach(const std::function<void(K, V)>& f) const {
-    forEachRec(minRoot_->right.load(), f);
+    return this->walkTree(
+        [&](const Node* n) { checkLinks(n, requireStrictBalance); });
   }
 
   /// Quiescent helper for tests: repeatedly apply rebalancing at every node
@@ -338,102 +208,24 @@ class IntAvlPathCas {
   static constexpr const char* name() { return "int-avl-pathcas"; }
 
  private:
-  struct SearchResult {
-    bool found;
-    Node* curr;
-    Version currVer;
-    Node* parent;
-    Version parentVer;
-  };
-  struct Successor {
-    Node* succ;
-    Version succVer;
-    Node* succP;
-    Version succPVer;
-  };
+  using typename Base::SearchResult, typename Base::Successor,
+      typename Base::StageStatus, typename Base::InsertScratch,
+      typename Base::EraseScratch, typename Base::EraseFrame;
+  using Base::opt_, Base::ebr_, Base::pool_, Base::search,
+      Base::getSuccessor, Base::vex, Base::execOrVex, Base::stageBudgetLeft,
+      Base::minRoot_, Base::maxRoot_;
+
   enum class FixResult { kSuccess, kFailure, kUnnecessary };
 
-  SearchResult search(K key) {
-    Node* parent = maxRoot_;
-    Version parentVer = visit(parent);
-    Node* curr = minRoot_;
-    Version currVer = visit(curr);
-    while (curr != nullptr) {
-      const K currKey = curr->key;
-      if (key == currKey) return {true, curr, currVer, parent, parentVer};
-      Node* next = (key > currKey) ? curr->right.load() : curr->left.load();
-      parent = curr;
-      parentVer = currVer;
-      curr = next;
-      if (curr != nullptr) {
-        // Warm the likely-next level while visit() pays this node's
-        // validation cost (PATHCAS_PREFETCH: hint only, re-read after).
-        prefetch(curr->left);
-        prefetch(curr->right);
-        currVer = visit(curr);
-      }
-    }
-    return {false, nullptr, 0, parent, parentVer};
-  }
-
-  Successor getSuccessor(Node* start, Version startVer) {
-    Node* succP = start;
-    Version succPVer = startVer;
-    Node* succ = start->right;
-    if (succ == nullptr) return {nullptr, 0, nullptr, 0};
-    Version succVer = visit(succ);
-    for (;;) {
-      Node* next = succ->left;
-      if (next == nullptr) return {succ, succVer, succP, succPVer};
-      succP = succ;
-      succPVer = succVer;
-      succ = next;
-      prefetch(succ->left);
-      succVer = visit(next);
-    }
-  }
-
-  // --- batched-commit machinery (see IntBstPathCas for the protocol) --
-
-  static constexpr int kBatchRetries = 3;
-  static constexpr int kBatchStageBudget =
-      static_cast<int>(k::DefaultDomain::kMaxEntries) - 16;
-
-  enum class StageStatus { kOk, kRetry, kOverflow };
-
-  static bool stageBudgetLeft(int need = 1) {
-    return domain().stagedFootprint() + need <= kBatchStageBudget;
-  }
-
-  std::size_t batchChunkWidth() const {
-    return opt_.batchOpsPerCommit > 1
-               ? static_cast<std::size_t>(opt_.batchOpsPerCommit)
-               : 1;
-  }
-
-  static void checkBatchKeys(const K* keys, std::size_t n) {
-    (void)keys;
-    (void)n;
-#ifndef NDEBUG
-    for (std::size_t i = 0; i < n; ++i) {
-      PATHCAS_DCHECK(keys[i] > kNegInf && keys[i] < kPosInf);
-      PATHCAS_DCHECK(i == 0 || keys[i - 1] < keys[i]);
-    }
-#endif
-  }
-
-  struct InsertScratch {
-    std::vector<Node*> built;   // unpublished subtree roots (freed on abort)
-    std::vector<Node*> attach;  // nodes gaining a subtree (rebalance roots)
-    std::vector<std::pair<std::size_t, std::size_t>> staged;  // outcome ranges
-  };
-
-  void discardInsertAttempt(InsertScratch& sc) {
-    for (Node* n : sc.built) freeSubtree(n);
-    sc.built.clear();
-    sc.attach.clear();
-    sc.staged.clear();
-  }
+  // ------------------------------------------------------------------
+  // Batched updates: InternalTree::insertBatch/eraseBatch. AVL-specific
+  // deltas: inserted runs become height-annotated balanced subtrees whose
+  // attach points are rebalanced after the commit, and only LEAF removals
+  // are staged in the wide KCAS — a one-child splice retargets the kept
+  // child's parent word, which may already carry a staged version bump from
+  // the child's own subtree in the same batch (an address staged twice is
+  // undefined), so one-child and two-child removals defer to per-op erase().
+  // ------------------------------------------------------------------
 
   /// Balanced, height-annotated subtree of keys[lo..hi), built privately
   /// under `parent` (setInitial): only shared if the staged link commits.
@@ -456,110 +248,41 @@ class IntAvlPathCas {
     return n;
   }
 
-  StageStatus stageInsertNode(Node* node, Version nodeVer, const K* keys,
-                              const V* vals, std::size_t lo, std::size_t hi,
-                              InsertScratch& sc) {
-    if (isMarked(nodeVer)) return StageStatus::kRetry;
-    const K nodeKey = node->key;
-    const std::size_t mid = static_cast<std::size_t>(
-        std::lower_bound(keys + lo, keys + hi, nodeKey) - keys);
-    std::size_t rlo = mid;
-    if (rlo < hi && keys[rlo] == nodeKey) ++rlo;  // present: outcome stays false
-    bool childStaged = false;
-    if (lo < mid) {
-      const StageStatus s = stageInsertChild(node, node->left, keys, vals, lo,
-                                             mid, sc, childStaged);
-      if (s != StageStatus::kOk) return s;
-    }
-    if (rlo < hi) {
-      const StageStatus s = stageInsertChild(node, node->right, keys, vals,
-                                             rlo, hi, sc, childStaged);
-      if (s != StageStatus::kOk) return s;
-    }
-    if (childStaged) {
-      if (!stageBudgetLeft()) return StageStatus::kOverflow;
-      addVer(node->ver, nodeVer, verBump(nodeVer));
-    }
-    return StageStatus::kOk;
-  }
-
+  /// InternalTree::stageInsertNode's step into one child partition: recurse
+  /// into a child, or link a prebuilt subtree hanging under `node` into a
+  /// null slot.
   StageStatus stageInsertChild(Node* node, casword<Node*>& slot,
                                const K* keys, const V* vals, std::size_t lo,
                                std::size_t hi, InsertScratch& sc,
                                bool& childStaged) {
     Node* const child = slot.load();
     if (child != nullptr) {
-      if (!stageBudgetLeft()) return StageStatus::kOverflow;
+      if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
       const Version childVer = visit(child);
-      return stageInsertNode(child, childVer, keys, vals, lo, hi, sc);
+      return this->stageInsertNode(child, childVer, keys, vals, lo, hi, sc);
     }
-    if (!stageBudgetLeft(2)) return StageStatus::kOverflow;
+    if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
     Node* const sub = buildSubtree(keys, vals, lo, hi, node);
     sc.built.push_back(sub);
-    sc.attach.push_back(node);
     sc.staged.emplace_back(lo, hi);
     add(slot, static_cast<Node*>(nullptr), sub);
     childStaged = true;
     return StageStatus::kOk;
   }
 
-  std::size_t insertRun(const K* keys, const V* vals, std::size_t n,
-                        bool* out) {
-    if (n == 0) return 0;
-    if (n == 1) {  // degraded to the per-op commit (k=1 fast path)
-      out[0] = insert(keys[0], vals[0]);
-      return out[0] ? 1u : 0u;
-    }
-    auto guard = ebr_.pin();
-    InsertScratch sc;
-    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
-      start();
-      const Version rootVer = visit(minRoot_);
-      const StageStatus s =
-          stageInsertNode(minRoot_, rootVer, keys, vals, 0, n, sc);
-      if (s == StageStatus::kOverflow) {
-        discardInsertAttempt(sc);
-        break;  // deterministic: retrying the same width cannot help
-      }
-      if (s == StageStatus::kRetry) {
-        discardInsertAttempt(sc);
-        continue;
-      }
-      if (sc.staged.empty()) {
-        if (opt_.reduceValidation || validate()) return 0;
-        continue;
-      }
-      if (vex()) {
-        std::size_t inserted = 0;
-        for (const auto& range : sc.staged) {
-          for (std::size_t i = range.first; i < range.second; ++i) {
-            out[i] = true;
-            ++inserted;
-          }
-        }
-        // An attached subtree is internally balanced but may unbalance the
-        // path above its attach point; repair from there (Bougé walk-up).
-        for (Node* at : sc.attach) rebalance(at);
-        return inserted;
-      }
-      discardInsertAttempt(sc);
-    }
-    const std::size_t half = n / 2;  // split-and-retry
-    return insertRun(keys, vals, half, out) +
-           insertRun(keys + half, vals + half, n - half, out + half);
+  /// An attached subtree is internally balanced but may unbalance the path
+  /// above its attach point; repair from there (Bougé walk-up). A built
+  /// root's parent word names that point — or, if a concurrent rotation
+  /// has since moved the subtree, its current parent; the walk is safe from
+  /// any node, and the run's EBR pin keeps every node it reads alive.
+  void afterInsertCommit(const InsertScratch& sc) {
+    for (Node* sub : sc.built) rebalance(sub->parent.load());
   }
 
-  struct EraseScratch {
-    std::vector<Node*> unlink;             // staged-out leaves (retired on commit)
-    std::vector<Node*> rebal;              // their parents (rebalance roots)
-    std::vector<std::size_t> stagedIdx;    // outcome indices of staged removals
-    std::vector<std::size_t> deferredIdx;  // per-op erase() after the commit
-  };
-
-  struct EraseFrame {
-    bool removed = false;
-  };
-
+  /// Stage the removals of keys[lo..hi) under `node` (already visited at
+  /// nodeVer), bottom-up as in the BST: a removed child is reported through
+  /// `fr` and the parent stages the slot swing plus its own single version
+  /// bump. Only untouched leaves are removed in-batch (see above).
   StageStatus stageEraseNode(Node* node, Version nodeVer, const K* keys,
                              std::size_t lo, std::size_t hi, EraseScratch& sc,
                              EraseFrame& fr) {
@@ -573,18 +296,18 @@ class IntAvlPathCas {
     Node* const right = node->right.load();
     bool childStaged = false;
     if (lo < mid && left != nullptr) {
-      const StageStatus s = stageEraseEdge(node, node->left, left, keys, lo,
-                                           mid, sc, childStaged);
+      const StageStatus s = stageEraseEdge(node->left, left, keys, lo, mid,
+                                           sc, childStaged);
       if (s != StageStatus::kOk) return s;
     }
     if (rlo < hi && right != nullptr) {
-      const StageStatus s = stageEraseEdge(node, node->right, right, keys,
-                                           rlo, hi, sc, childStaged);
+      const StageStatus s = stageEraseEdge(node->right, right, keys, rlo, hi,
+                                           sc, childStaged);
       if (s != StageStatus::kOk) return s;
     }
     if (matched) {
       if (!childStaged && left == nullptr && right == nullptr) {
-        if (!stageBudgetLeft(2)) return StageStatus::kOverflow;
+        if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
         // Leaf: mark node; the parent frame swings its slot and bumps its
         // own version. Matches the per-op leaf-deletion entry set exactly.
         addVer(node->ver, nodeVer, verMark(nodeVer));
@@ -597,16 +320,16 @@ class IntAvlPathCas {
       sc.deferredIdx.push_back(mid);
     }
     if (childStaged) {
-      if (!stageBudgetLeft()) return StageStatus::kOverflow;
+      if (!stageBudgetLeft(*sc.dom)) return StageStatus::kOverflow;
       addVer(node->ver, nodeVer, verBump(nodeVer));
     }
     return StageStatus::kOk;
   }
 
-  StageStatus stageEraseEdge(Node* node, casword<Node*>& slot, Node* child,
-                             const K* keys, std::size_t lo, std::size_t hi,
-                             EraseScratch& sc, bool& childStaged) {
-    if (!stageBudgetLeft(2)) return StageStatus::kOverflow;
+  StageStatus stageEraseEdge(casword<Node*>& slot, Node* child, const K* keys,
+                             std::size_t lo, std::size_t hi, EraseScratch& sc,
+                             bool& childStaged) {
+    if (!stageBudgetLeft(*sc.dom, 2)) return StageStatus::kOverflow;
     const Version childVer = visit(child);
     EraseFrame cf;
     const StageStatus s =
@@ -614,81 +337,31 @@ class IntAvlPathCas {
     if (s != StageStatus::kOk) return s;
     if (cf.removed) {
       add(slot, child, static_cast<Node*>(nullptr));
-      sc.rebal.push_back(node);
       childStaged = true;
     }
     return StageStatus::kOk;
   }
 
-  std::size_t eraseRun(const K* keys, std::size_t n, bool* out) {
-    if (n == 0) return 0;
-    if (n == 1) {  // degraded to the per-op commit
-      out[0] = erase(keys[0]);
-      return out[0] ? 1u : 0u;
-    }
-    auto guard = ebr_.pin();
-    EraseScratch sc;
-    for (int attempt = 0; attempt < kBatchRetries; ++attempt) {
-      start();
-      sc.unlink.clear();
-      sc.rebal.clear();
-      sc.stagedIdx.clear();
-      sc.deferredIdx.clear();
-      const Version rootVer = visit(minRoot_);
-      EraseFrame rootFrame;
-      const StageStatus s =
-          stageEraseNode(minRoot_, rootVer, keys, 0, n, sc, rootFrame);
-      if (s == StageStatus::kOverflow) break;
-      if (s == StageStatus::kRetry) continue;
-      PATHCAS_DCHECK(!rootFrame.removed);  // minRoot's key is a sentinel
-      if (sc.unlink.empty()) {
-        if (!validate()) continue;
-        return finishEraseRun(keys, out, sc);
-      }
-      if (vex()) {
-        for (Node* dead : sc.unlink) ebr_.retire(dead, pool_);
-        for (Node* p : sc.rebal) rebalance(p);
-        return finishEraseRun(keys, out, sc);
-      }
-    }
-    const std::size_t half = n / 2;  // split-and-retry
-    return eraseRun(keys, half, out) +
-           eraseRun(keys + half, n - half, out + half);
-  }
-
-  std::size_t finishEraseRun(const K* keys, bool* out, EraseScratch& sc) {
-    std::size_t erased = sc.stagedIdx.size();
-    for (std::size_t idx : sc.stagedIdx) out[idx] = true;
-    for (std::size_t idx : sc.deferredIdx) {
-      out[idx] = erase(keys[idx]);
-      if (out[idx]) ++erased;
-    }
-    return erased;
-  }
-
-  bool vex() { return opt_.useHtmFastPath ? vexecFast() : vexec(); }
-  bool vval() {
-    return opt_.useHtmFastPath ? validateVisitedFast() : validateVisited();
-  }
-  bool execOrVex() {
-    if (opt_.reduceValidation)
-      return opt_.useHtmFastPath ? execFast() : pathcas::exec();
-    return vex();
-  }
-
-  /// In-order walk of the subtrees overlapping [lo, hi], visiting every node
-  /// examined; collected pairs are only meaningful if validation succeeds.
-  void collectRange(Node* n, K lo, K hi, std::vector<std::pair<K, V>>& out) {
-    if (n == nullptr) return;
-    visit(n);
-    const K k = n->key.load();
-    if (k > lo) collectRange(n->left.load(), lo, hi, out);
-    if (k >= lo && k <= hi) out.emplace_back(k, n->val.load());
-    if (k < hi) collectRange(n->right.load(), lo, hi, out);
+  /// Repair upward from each removed leaf's parent. A marked node's parent
+  /// word is frozen (changing it would bump the marked version), so it still
+  /// names the parent the commit unlinked the leaf from.
+  void afterEraseCommit(const EraseScratch& sc) {
+    for (Node* dead : sc.unlink) rebalance(dead->parent.load());
   }
 
   static std::int64_t heightOf(Node* n) {
     return n == nullptr ? 0 : n->height.load();
+  }
+
+  /// n's child slot on side kLeft (false: the right side). Each mirror pair
+  /// of rebalancing steps below is one function instantiated per side.
+  template <bool kLeft>
+  static casword<Node*>& side(Node* n) {
+    if constexpr (kLeft) {
+      return n->left;
+    } else {
+      return n->right;
+    }
   }
 
   // ------------------------------------------------------------------
@@ -718,59 +391,11 @@ class IntAvlPathCas {
       if (l != nullptr) lV = visit(l);
       if (r != nullptr) rV = visit(r);
       if (isMarked(lV) || isMarked(rV)) continue;
-      const std::int64_t lh = heightOf(l);
-      const std::int64_t rh = heightOf(r);
-      const std::int64_t balance = lh - rh;
-
+      const std::int64_t balance = heightOf(l) - heightOf(r);
       if (balance >= 2) {
-        // Left-heavy: examine l's children to pick single vs double rotation.
-        if (l == nullptr) continue;  // height raced; retry
-        Node* const ll = l->left;
-        Node* const lr = l->right;
-        Version llV = 0, lrV = 0;
-        if (ll != nullptr) llV = visit(ll);
-        if (lr != nullptr) lrV = visit(lr);
-        if (isMarked(llV) || isMarked(lrV)) continue;
-        const std::int64_t lBalance = heightOf(ll) - heightOf(lr);
-        if (lBalance < 0) {
-          if (lr == nullptr) continue;
-          if (rotateLeftRight(p, pV, n, nV, l, lV, lr, lrV)) {
-            rebalance(n);
-            rebalance(l);
-            rebalance(lr);
-            n = p;
-          }
-        } else {
-          if (rotateRight(p, pV, n, nV, l, lV)) {
-            rebalance(n);
-            rebalance(l);
-            n = p;
-          }
-        }
+        n = repairHeavy<true>(p, pV, n, nV, l, lV);
       } else if (balance <= -2) {
-        if (r == nullptr) continue;
-        Node* const rl = r->left;
-        Node* const rr = r->right;
-        Version rlV = 0, rrV = 0;
-        if (rl != nullptr) rlV = visit(rl);
-        if (rr != nullptr) rrV = visit(rr);
-        if (isMarked(rlV) || isMarked(rrV)) continue;
-        const std::int64_t rBalance = heightOf(rl) - heightOf(rr);
-        if (rBalance > 0) {
-          if (rl == nullptr) continue;
-          if (rotateRightLeft(p, pV, n, nV, r, rV, rl, rlV)) {
-            rebalance(n);
-            rebalance(r);
-            rebalance(rl);
-            n = p;
-          }
-        } else {
-          if (rotateLeft(p, pV, n, nV, r, rV)) {
-            rebalance(n);
-            rebalance(r);
-            n = p;
-          }
-        }
+        n = repairHeavy<false>(p, pV, n, nV, r, rV);
       } else {
         const FixResult res = fixHeight(n, nV, l, lV, r, rV);
         if (res == FixResult::kFailure) continue;
@@ -781,6 +406,34 @@ class IntAvlPathCas {
         return;  // kUnnecessary: no violation here; the walk ends (Alg. 10)
       }
     }
+  }
+
+  /// rebalance's branch for n heavy on side kLeft, whose child there is c:
+  /// examine c's children to pick a single rotation, or a double rotation
+  /// when c's inner subtree is the taller. Returns where the walk goes on:
+  /// p after a rotation (whose moved nodes were repaired recursively), or n
+  /// to retry after a race.
+  template <bool kLeft>
+  Node* repairHeavy(Node* p, Version pV, Node* n, Version nV, Node* c,
+                    Version cV) {
+    if (c == nullptr) return n;  // height raced; retry
+    Node* const outer = side<kLeft>(c);
+    Node* const inner = side<!kLeft>(c);
+    Version outerV = 0, innerV = 0;
+    if (outer != nullptr) outerV = visit(outer);
+    if (inner != nullptr) innerV = visit(inner);
+    if (isMarked(outerV) || isMarked(innerV)) return n;
+    if (heightOf(inner) > heightOf(outer)) {
+      if (!rotateDouble<kLeft>(p, pV, n, nV, c, cV, inner, innerV)) return n;
+      rebalance(n);
+      rebalance(c);
+      rebalance(inner);
+      return p;
+    }
+    if (!rotate<kLeft>(p, pV, n, nV, c, cV)) return n;
+    rebalance(n);
+    rebalance(c);
+    return p;
   }
 
   /// Algorithm 8: set n.height = 1 + max(child heights), locking the
@@ -817,230 +470,131 @@ class IntAvlPathCas {
     return true;
   }
 
-  /// Algorithm 11 (and its mirror): single rotation.
+  /// Algorithm 11: single rotation lifting n's child c on side kLeft (the
+  /// right rotation for kLeft, its mirror otherwise). Shown for kLeft:
   ///        p                p
-  ///        n       =>       l
+  ///        n       =>       c
   ///       / \              / \ .
-  ///      l   r            ll  n
+  ///      c   o            co  n
   ///     / \                  / \ .
-  ///    ll  lr               lr  r
-  bool rotateRight(Node* p, Version pV, Node* n, Version nV, Node* l,
-                   Version lV) {
-    if (!addParentSwing(p, n, l)) return false;
-    Node* const lr = l->right;
-    std::int64_t lrH = 0;
-    if (lr != nullptr) {
-      const Version lrV = visit(lr);
-      if (isMarked(lrV)) return false;
-      lrH = lr->height;
-      add(lr->parent, l, n);
-      addVer(lr->ver, lrV, verBump(lrV));
+  ///    co  ci               ci  o
+  template <bool kLeft>
+  bool rotate(Node* p, Version pV, Node* n, Version nV, Node* c, Version cV) {
+    if (!addParentSwing(p, n, c)) return false;
+    Node* const ci = side<!kLeft>(c);
+    std::int64_t ciH = 0;
+    if (ci != nullptr) {
+      const Version ciV = visit(ci);
+      if (isMarked(ciV)) return false;
+      ciH = ci->height;
+      add(ci->parent, c, n);
+      addVer(ci->ver, ciV, verBump(ciV));
     }
-    Node* const ll = l->left;
-    std::int64_t llH = 0;
-    if (ll != nullptr) {
-      const Version llV = visit(ll);
-      if (isMarked(llV)) return false;
-      llH = ll->height;
+    Node* const co = side<kLeft>(c);
+    std::int64_t coH = 0;
+    if (co != nullptr) {
+      const Version coV = visit(co);
+      if (isMarked(coV)) return false;
+      coH = co->height;
     }
-    Node* const r = n->right;
-    std::int64_t rH = 0;
-    if (r != nullptr) {
-      const Version rV = visit(r);
-      if (isMarked(rV)) return false;
-      rH = r->height;
+    Node* const o = side<!kLeft>(n);
+    std::int64_t oH = 0;
+    if (o != nullptr) {
+      const Version oV = visit(o);
+      if (isMarked(oV)) return false;
+      oH = o->height;
     }
     const std::int64_t oldNH = n->height;
-    const std::int64_t oldLH = l->height;
-    const std::int64_t newNH = 1 + std::max(lrH, rH);
-    const std::int64_t newLH = 1 + std::max(llH, newNH);
-    add(l->parent, n, p);
-    add(n->left, l, lr);
-    add(l->right, lr, n);
-    add(n->parent, p, l);
+    const std::int64_t oldCH = c->height;
+    const std::int64_t newNH = 1 + std::max(ciH, oH);
+    const std::int64_t newCH = 1 + std::max(coH, newNH);
+    add(c->parent, n, p);
+    add(side<kLeft>(n), c, ci);
+    add(side<!kLeft>(c), ci, n);
+    add(n->parent, p, c);
     add(n->height, oldNH, newNH);
-    add(l->height, oldLH, newLH);
+    add(c->height, oldCH, newCH);
     addVer(p->ver, pV, verBump(pV));
     addVer(n->ver, nV, verBump(nV));
-    addVer(l->ver, lV, verBump(lV));
+    addVer(c->ver, cV, verBump(cV));
     return vex();
   }
 
-  bool rotateLeft(Node* p, Version pV, Node* n, Version nV, Node* r,
-                  Version rV) {
-    if (!addParentSwing(p, n, r)) return false;
-    Node* const rl = r->left;
-    std::int64_t rlH = 0;
-    if (rl != nullptr) {
-      const Version rlV = visit(rl);
-      if (isMarked(rlV)) return false;
-      rlH = rl->height;
-      add(rl->parent, r, n);
-      addVer(rl->ver, rlV, verBump(rlV));
-    }
-    Node* const rr = r->right;
-    std::int64_t rrH = 0;
-    if (rr != nullptr) {
-      const Version rrV = visit(rr);
-      if (isMarked(rrV)) return false;
-      rrH = rr->height;
-    }
-    Node* const l = n->left;
-    std::int64_t lH = 0;
-    if (l != nullptr) {
-      const Version lV = visit(l);
-      if (isMarked(lV)) return false;
-      lH = l->height;
-    }
-    const std::int64_t oldNH = n->height;
-    const std::int64_t oldRH = r->height;
-    const std::int64_t newNH = 1 + std::max(rlH, lH);
-    const std::int64_t newRH = 1 + std::max(rrH, newNH);
-    add(r->parent, n, p);
-    add(n->right, r, rl);
-    add(r->left, rl, n);
-    add(n->parent, p, r);
-    add(n->height, oldNH, newNH);
-    add(r->height, oldRH, newRH);
-    addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, verBump(nV));
-    addVer(r->ver, rV, verBump(rV));
-    return vex();
-  }
-
-  /// Algorithm 9 (and its mirror): double rotation, fused into one PathCAS.
+  /// Algorithm 9: double rotation, fused into one PathCAS, lifting g — the
+  /// inner child of n's child c on side kLeft — into n's place (left-right
+  /// for kLeft, right-left otherwise). Shown for kLeft:
   ///        p                 p
-  ///        n                lr
+  ///        n                 g
   ///      /   \             /   \ .
-  ///     l     r    =>     l     n
+  ///     c     o    =>     c     n
   ///    / \               / \   / \ .
-  ///   ll  lr            ll lrl lrr r
+  ///   co  g             co gi go  o
   ///      /  \ .
-  ///    lrl  lrr
-  bool rotateLeftRight(Node* p, Version pV, Node* n, Version nV, Node* l,
-                       Version lV, Node* lr, Version lrV) {
-    if (!addParentSwing(p, n, lr)) return false;
-    Node* const lrl = lr->left;
-    std::int64_t lrlH = 0;
-    if (lrl != nullptr) {
-      const Version lrlV = visit(lrl);
-      if (isMarked(lrlV)) return false;
-      lrlH = lrl->height;
-      add(lrl->parent, lr, l);
-      addVer(lrl->ver, lrlV, verBump(lrlV));
+  ///    gi    go
+  template <bool kLeft>
+  bool rotateDouble(Node* p, Version pV, Node* n, Version nV, Node* c,
+                    Version cV, Node* g, Version gV) {
+    if (!addParentSwing(p, n, g)) return false;
+    Node* const gi = side<kLeft>(g);
+    std::int64_t giH = 0;
+    if (gi != nullptr) {
+      const Version giV = visit(gi);
+      if (isMarked(giV)) return false;
+      giH = gi->height;
+      add(gi->parent, g, c);
+      addVer(gi->ver, giV, verBump(giV));
     }
-    Node* const lrr = lr->right;
-    std::int64_t lrrH = 0;
-    if (lrr != nullptr) {
-      const Version lrrV = visit(lrr);
-      if (isMarked(lrrV)) return false;
-      lrrH = lrr->height;
-      add(lrr->parent, lr, n);
-      addVer(lrr->ver, lrrV, verBump(lrrV));
+    Node* const go = side<!kLeft>(g);
+    std::int64_t goH = 0;
+    if (go != nullptr) {
+      const Version goV = visit(go);
+      if (isMarked(goV)) return false;
+      goH = go->height;
+      add(go->parent, g, n);
+      addVer(go->ver, goV, verBump(goV));
     }
-    Node* const r = n->right;
-    std::int64_t rH = 0;
-    if (r != nullptr) {
-      const Version rV = visit(r);
-      if (isMarked(rV)) return false;
-      rH = r->height;
+    Node* const o = side<!kLeft>(n);
+    std::int64_t oH = 0;
+    if (o != nullptr) {
+      const Version oV = visit(o);
+      if (isMarked(oV)) return false;
+      oH = o->height;
     }
-    Node* const ll = l->left;
-    std::int64_t llH = 0;
-    if (ll != nullptr) {
-      const Version llV = visit(ll);
-      if (isMarked(llV)) return false;
-      llH = ll->height;
-    }
-    const std::int64_t oldNH = n->height;
-    const std::int64_t oldLH = l->height;
-    const std::int64_t oldLRH = lr->height;
-    const std::int64_t newNH = 1 + std::max(lrrH, rH);
-    const std::int64_t newLH = 1 + std::max(llH, lrlH);
-    const std::int64_t newLRH = 1 + std::max(newNH, newLH);
-    add(lr->parent, l, p);
-    add(lr->left, lrl, l);
-    add(l->parent, n, lr);
-    add(lr->right, lrr, n);
-    add(n->parent, p, lr);
-    add(l->right, lr, lrl);
-    add(n->left, l, lrr);
-    add(n->height, oldNH, newNH);
-    add(l->height, oldLH, newLH);
-    add(lr->height, oldLRH, newLRH);
-    addVer(lr->ver, lrV, verBump(lrV));
-    addVer(p->ver, pV, verBump(pV));
-    addVer(n->ver, nV, verBump(nV));
-    addVer(l->ver, lV, verBump(lV));
-    return vex();
-  }
-
-  bool rotateRightLeft(Node* p, Version pV, Node* n, Version nV, Node* r,
-                       Version rV, Node* rl, Version rlV) {
-    if (!addParentSwing(p, n, rl)) return false;
-    Node* const rlr = rl->right;
-    std::int64_t rlrH = 0;
-    if (rlr != nullptr) {
-      const Version rlrV = visit(rlr);
-      if (isMarked(rlrV)) return false;
-      rlrH = rlr->height;
-      add(rlr->parent, rl, r);
-      addVer(rlr->ver, rlrV, verBump(rlrV));
-    }
-    Node* const rll = rl->left;
-    std::int64_t rllH = 0;
-    if (rll != nullptr) {
-      const Version rllV = visit(rll);
-      if (isMarked(rllV)) return false;
-      rllH = rll->height;
-      add(rll->parent, rl, n);
-      addVer(rll->ver, rllV, verBump(rllV));
-    }
-    Node* const l = n->left;
-    std::int64_t lH = 0;
-    if (l != nullptr) {
-      const Version lV = visit(l);
-      if (isMarked(lV)) return false;
-      lH = l->height;
-    }
-    Node* const rr = r->right;
-    std::int64_t rrH = 0;
-    if (rr != nullptr) {
-      const Version rrV = visit(rr);
-      if (isMarked(rrV)) return false;
-      rrH = rr->height;
+    Node* const co = side<kLeft>(c);
+    std::int64_t coH = 0;
+    if (co != nullptr) {
+      const Version coV = visit(co);
+      if (isMarked(coV)) return false;
+      coH = co->height;
     }
     const std::int64_t oldNH = n->height;
-    const std::int64_t oldRH = r->height;
-    const std::int64_t oldRLH = rl->height;
-    const std::int64_t newNH = 1 + std::max(rllH, lH);
-    const std::int64_t newRH = 1 + std::max(rrH, rlrH);
-    const std::int64_t newRLH = 1 + std::max(newNH, newRH);
-    add(rl->parent, r, p);
-    add(rl->right, rlr, r);
-    add(r->parent, n, rl);
-    add(rl->left, rll, n);
-    add(n->parent, p, rl);
-    add(r->left, rl, rlr);
-    add(n->right, r, rll);
+    const std::int64_t oldCH = c->height;
+    const std::int64_t oldGH = g->height;
+    const std::int64_t newNH = 1 + std::max(goH, oH);
+    const std::int64_t newCH = 1 + std::max(coH, giH);
+    const std::int64_t newGH = 1 + std::max(newNH, newCH);
+    add(g->parent, c, p);
+    add(side<kLeft>(g), gi, c);
+    add(c->parent, n, g);
+    add(side<!kLeft>(g), go, n);
+    add(n->parent, p, g);
+    add(side<!kLeft>(c), g, gi);
+    add(side<kLeft>(n), c, go);
     add(n->height, oldNH, newNH);
-    add(r->height, oldRH, newRH);
-    add(rl->height, oldRLH, newRLH);
-    addVer(rl->ver, rlV, verBump(rlV));
+    add(c->height, oldCH, newCH);
+    add(g->height, oldGH, newGH);
+    addVer(g->ver, gV, verBump(gV));
     addVer(p->ver, pV, verBump(pV));
     addVer(n->ver, nV, verBump(nV));
-    addVer(r->ver, rV, verBump(rV));
+    addVer(c->ver, cV, verBump(cV));
     return vex();
   }
 
   // ------------------------------------------------------------------
 
-  void walk(Node* n, K lo, K hi, std::uint64_t depth, TreeStats& stats,
-            std::uint64_t& depthSum, bool strict) const {
-    if (n == nullptr) return;
-    const K k = n->key.load();
-    PATHCAS_CHECK(k > lo && k < hi);
-    PATHCAS_CHECK(!isMarked(n->ver.load()));
+  /// checkInvariants' per-node AVL checks: both children point back at n,
+  /// and (strict) n's height is exact and its children's differ by <= 1.
+  static void checkLinks(const Node* n, bool strict) {
     Node* const l = n->left.load();
     Node* const r = n->right.load();
     if (l != nullptr) PATHCAS_CHECK(l->parent.load() == n);
@@ -1051,13 +605,6 @@ class IntAvlPathCas {
       const std::int64_t bal = heightOf(l) - heightOf(r);
       PATHCAS_CHECK(bal >= -1 && bal <= 1);
     }
-    ++stats.size;
-    ++stats.nodeCount;
-    stats.keySum += static_cast<std::int64_t>(k);
-    depthSum += depth;
-    stats.height = std::max(stats.height, depth);
-    walk(l, lo, k, depth + 1, stats, depthSum, strict);
-    walk(r, k, hi, depth + 1, stats, depthSum, strict);
   }
 
   void fixAll(Node* n, bool& changed) {
@@ -1075,27 +622,7 @@ class IntAvlPathCas {
     }
   }
 
-  void forEachRec(Node* n, const std::function<void(K, V)>& f) const {
-    if (n == nullptr) return;
-    forEachRec(n->left.load(), f);
-    f(n->key.load(), n->val.load());
-    forEachRec(n->right.load(), f);
-  }
-
-  void freeSubtree(Node* n) {
-    if (n == nullptr) return;
-    freeSubtree(n->left.load());
-    freeSubtree(n->right.load());
-    pool_.destroy(n);
-  }
-
   static constexpr int kMaxRebalanceAttempts = 10000;
-
-  IntBstOptions opt_;
-  recl::EbrDomain& ebr_;
-  recl::NodePool<Node>& pool_;
-  Node* maxRoot_;
-  Node* minRoot_;
 };
 
 }  // namespace pathcas::ds

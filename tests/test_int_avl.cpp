@@ -18,6 +18,10 @@ namespace {
 
 using Avl = IntAvlPathCas<std::int64_t, std::int64_t>;
 
+// Node layout pin: the benchmark gates bytes per key on this size, so a
+// node that grows must fail to compile.
+static_assert(sizeof(IntAvlPathCas<>::Node) == 56);
+
 TEST(IntAvl, EmptyTreeBasics) {
   Avl t;
   EXPECT_FALSE(t.contains(5));

@@ -7,7 +7,9 @@
 //    external BST baselines;
 //  * seeded concurrent races with deterministic thread counts: scans racing
 //    AVL rotations and abtree leaf splits must always return sorted,
-//    duplicate-free, in-range, untorn snapshots.
+//    duplicate-free, in-range, untorn snapshots;
+//  * internal-tree scans wider than one op's visited set (kMaxVisited),
+//    which run as validated chunks — quiescent and racing writers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -144,6 +146,41 @@ TYPED_TEST(RangeQueryTest, FullTableScanMatchesOracleUnderChurn) {
 }
 
 // ---------------------------------------------------------------------------
+// Internal trees: scans wider than one op's visited set (kMaxVisited) run in
+// validated chunks instead of overflowing it.
+// ---------------------------------------------------------------------------
+
+/// The keys first, first + step, ... below `end`, in a seeded random order:
+/// random insertion keeps the unbalanced BST's search paths short (a sorted
+/// fill would make one path as long as the key count, out of contract).
+std::vector<K> shuffledKeys(K first, K end, K step, std::uint64_t seed) {
+  std::vector<K> keys;
+  for (K k = first; k < end; k += step) keys.push_back(k);
+  Xoshiro256 rng(seed);
+  for (std::size_t i = keys.size() - 1; i > 0; --i)
+    std::swap(keys[i], keys[rng.nextBounded(i + 1)]);
+  return keys;
+}
+
+template <typename TreeT>
+class WideScanTest : public ::testing::Test {};
+
+using WideScanTrees = ::testing::Types<ds::IntBstPathCas<>, ds::IntAvlPathCas<>>;
+TYPED_TEST_SUITE(WideScanTest, WideScanTrees, RqSetNames);
+
+TYPED_TEST(WideScanTest, FullRangeScanPastVisitedSetCapacity) {
+  constexpr K kKeys = 2000;  // a full scan examines ~4x kMaxVisited nodes
+  TypeParam s;
+  for (const K k : shuffledKeys(1, kKeys + 1, 1, 2000))
+    ASSERT_TRUE(s.insert(k, k * 3));
+  Out out;
+  ASSERT_EQ(s.rangeQuery(1, kKeys, out), static_cast<std::size_t>(kKeys));
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kKeys));
+  for (K k = 1; k <= kKeys; ++k)
+    ASSERT_EQ(out[static_cast<std::size_t>(k - 1)], (std::pair<K, V>{k, k * 3}));
+}
+
+// ---------------------------------------------------------------------------
 // Best-effort baselines: quiescent scans are exact.
 // ---------------------------------------------------------------------------
 
@@ -187,22 +224,40 @@ TEST(RangeQueryBaselines, TicketBstQuiescentScanIsExact) {
 // duplicate-free, within bounds, and untorn (val == 3 * key invariant).
 // ---------------------------------------------------------------------------
 
+/// Two writers churn 40,000 random inserts/erases each over [0, keyRange)
+/// while two scanners run random windows until the writers stop; more than
+/// `minScans` scans must finish. The default
+/// 256-key range is filled in sorted order (the BST then races on a
+/// 128-deep right spine); wider ranges are filled in seeded random order,
+/// since a sorted fill would give the unbalanced BST a search path longer
+/// than one op's visited set.
 template <typename SetT>
-void scanRacesWriters(std::uint64_t seed) {
+void scanRacesWriters(std::uint64_t seed, K keyRange = 256,
+                      std::uint64_t minScans = 100) {
   SetT s;
-  constexpr K kRange = 256;
   constexpr int kWriters = 2, kScanners = 2, kWriterOps = 40000;
-  for (K k = 0; k < kRange; k += 2) ASSERT_TRUE(s.insert(k, k * 3));
+  if (keyRange <= 256) {
+    for (K k = 0; k < keyRange; k += 2) ASSERT_TRUE(s.insert(k, k * 3));
+  } else {
+    for (const K k : shuffledKeys(0, keyRange, 2, seed))
+      ASSERT_TRUE(s.insert(k, k * 3));
+  }
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> scans{0};
+  // A scanner whose ASSERT fails returns early; the writers then stop too,
+  // so the failure is reported at once.
+  std::atomic<int> scannersRunning{kScanners};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       ThreadGuard tg;
       Xoshiro256 rng(seed + static_cast<std::uint64_t>(w));
-      for (int i = 0; i < kWriterOps; ++i) {
-        const K k = static_cast<K>(rng.nextBounded(kRange));
+      for (int i = 0; i < kWriterOps &&
+                      scannersRunning.load(std::memory_order_relaxed) ==
+                          kScanners;
+           ++i) {
+        const K k = static_cast<K>(rng.nextBounded(keyRange));
         if (rng.nextBounded(2)) {
           s.insert(k, k * 3);
         } else {
@@ -216,13 +271,17 @@ void scanRacesWriters(std::uint64_t seed) {
   for (int r = 0; r < kScanners; ++r) {
     scanners.emplace_back([&, r] {
       ThreadGuard tg;
+      struct Exit {
+        std::atomic<int>& running;
+        ~Exit() { running.fetch_sub(1, std::memory_order_relaxed); }
+      } onExit{scannersRunning};
       Xoshiro256 rng(seed * 31 + static_cast<std::uint64_t>(r));
       Out out;
       while (!stop.load(std::memory_order_acquire)) {
-        const K lo = static_cast<K>(rng.nextBounded(kRange));
+        const K lo = static_cast<K>(rng.nextBounded(keyRange));
         const K hi =
             lo + static_cast<K>(rng.nextBounded(
-                     static_cast<std::uint64_t>(kRange - lo)));
+                     static_cast<std::uint64_t>(keyRange - lo)));
         out.clear();
         const std::size_t n = s.rangeQuery(lo, hi, out);
         ASSERT_EQ(n, out.size());
@@ -240,7 +299,7 @@ void scanRacesWriters(std::uint64_t seed) {
   }
   for (auto& t : writers) t.join();
   for (auto& t : scanners) t.join();
-  EXPECT_GT(scans.load(), 100u);  // the scanners actually ran against churn
+  EXPECT_GT(scans.load(), minScans);  // the scanners ran against churn
 }
 
 TEST(RangeQueryRaces, AvlScanRacesRebalance) {
@@ -257,6 +316,22 @@ TEST(RangeQueryRaces, BstScanRacesTwoChildDeletes) {
   // Internal-BST two-child deletion rewrites keys/values in place (succ
   // relocation) — the torn-pair assertion is the sharp edge here.
   scanRacesWriters<ds::IntBstPathCas<>>(0xB57);
+}
+
+// A 2,000-key range: scan windows cross kMaxVisited, so scans run in
+// validated chunks while rotations and deletes churn underneath. These cases
+// check what the chunks return, not how many scans finish: a ~500-node chunk
+// fails validation whenever a writer touches any node it visited, so wide
+// scans finish far fewer scans than the narrow cases under the same churn
+// (as few as 9 per run in a TSan build). Each scanner can finish at most one
+// scan after the writers stop, so more than 2 scans means at least one wide
+// scan completed against churn.
+TEST(RangeQueryRaces, AvlWideScanChunksRaceRebalance) {
+  scanRacesWriters<ds::IntAvlPathCas<>>(0xA72, 2000, 2);
+}
+
+TEST(RangeQueryRaces, BstWideScanChunksRaceTwoChildDeletes) {
+  scanRacesWriters<ds::IntBstPathCas<>>(0xB58, 2000, 2);
 }
 
 TEST(RangeQueryRaces, SkiplistScanRacesTowerUnlinks) {
